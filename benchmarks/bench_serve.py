@@ -121,9 +121,7 @@ def test_serve_batching_speedup_report(baseline_params):
         assert a["events_per_pb_year"] == b["events_per_pb_year"], (a, b)
     queries = _queries(base, POINTS)
     for i in range(0, POINTS, POINTS // 20):
-        direct = repro.evaluate(
-            queries[i].config, queries[i].params, method="analytic"
-        )
+        direct = repro.evaluate(queries[i].config, queries[i].params)
         assert batched_answers[i]["mttdl_hours"] == direct.mttdl_hours
 
     naive_rps = POINTS / naive_wall

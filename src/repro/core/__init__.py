@@ -14,7 +14,6 @@ machinery and are deliberately not re-exported here — backends are the
 only supported way to reach them.
 """
 
-from .builder import ChainBuilder
 from .ctmc import (
     AbsorptionResult,
     CTMC,
@@ -52,7 +51,6 @@ from .spec import (
     param,
     rate_min,
 )
-from .template import ChainStructureMemo, ChainTemplate
 from .gillespie import (
     SampleSummary,
     Trajectory,
@@ -65,9 +63,6 @@ __all__ = [
     "BACKENDS",
     "CTMC",
     "CTMCError",
-    "ChainBuilder",
-    "ChainStructureMemo",
-    "ChainTemplate",
     "CompiledChain",
     "CompiledSpecCache",
     "CsrMatrix",

@@ -1,15 +1,16 @@
-"""Incremental construction of CTMCs.
+"""Imperative construction of CTMCs, kept for the equivalence oracles.
 
-The Markov chains in the paper are described state-by-state (Figures 1
-through 10); :class:`ChainBuilder` mirrors that style: add states, add
-rates, build.  It also provides the merge/relabel operations the paper's
-appendix uses to construct the no-internal-RAID chain for fault tolerance
-``k`` from two copies of the chain for ``k - 1``.
+Every production chain is built from a declarative
+:class:`~repro.core.spec.ModelSpec`.  :class:`ChainBuilder` is the
+pre-spec, state-by-state construction (add states, add rates, build) that
+the ``legacy_build_*`` oracles in :mod:`repro.models.legacy` still use,
+so the test suite and the ``spec-legacy-equivalence`` invariant can check
+the spec path against an independent transcription of Figures 1-10.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from .ctmc import CTMC, CTMCError, Transition
 
@@ -92,67 +93,9 @@ class ChainBuilder:
         """Number of distinct directed edges with positive rate."""
         return len(self._rates)
 
-    def edge_keys(self) -> Tuple[Tuple[State, State], ...]:
-        """The distinct directed edges, in insertion order."""
-        return tuple(self._rates.keys())
-
-    def edge_rates(self) -> Tuple[float, ...]:
-        """Accumulated rates in :meth:`edge_keys` order."""
-        return tuple(self._rates.values())
-
-    # ------------------------------------------------------------------ #
-    # structural operations used by the recursive appendix construction
-    # ------------------------------------------------------------------ #
-
-    def relabel(self, mapping: Callable[[State], State]) -> "ChainBuilder":
-        """Return a new builder with every state passed through ``mapping``.
-
-        Distinct states may map to the same label, in which case they merge
-        (their in/out rates accumulate) — this implements the appendix's
-        "merge the two absorbing states into one" step.
-        """
-        out = ChainBuilder()
-        for s in self._states:
-            out.add_state(mapping(s))
-        for (src, dst), r in self._rates.items():
-            new_src, new_dst = mapping(src), mapping(dst)
-            if new_src == new_dst:
-                raise CTMCError(
-                    f"relabel merges endpoints of edge {src!r}->{dst!r} "
-                    "into a self-loop"
-                )
-            out.add_rate(new_src, new_dst, r)
-        return out
-
-    def merge_from(self, other: "ChainBuilder") -> "ChainBuilder":
-        """Copy all states and rates of ``other`` into this builder."""
-        for s in other._states:
-            self.add_state(s)
-        for (src, dst), r in other._rates.items():
-            self.add_rate(src, dst, r)
-        return self
-
-    # ------------------------------------------------------------------ #
-
-    def build(
-        self,
-        initial_state: Optional[State] = None,
-        memo: Optional["ChainStructureMemo"] = None,
-        memo_key: Optional[Hashable] = None,
-    ) -> CTMC:
-        """Construct the immutable :class:`CTMC`.
-
-        Args:
-            initial_state: start state (defaults to the first registered).
-            memo: optional :class:`~repro.core.template.ChainStructureMemo`;
-                when given, the chain topology is cached under ``memo_key``
-                and only the rates are re-bound on a structural match —
-                bitwise identical to the direct construction.
-            memo_key: cache key for ``memo`` (e.g. the configuration key
-                plus the structural parameters).
-        """
-        if memo is not None:
-            return memo.build(memo_key, self, initial_state)
+    def build(self, initial_state: Optional[State] = None) -> CTMC:
+        """Construct the immutable :class:`CTMC` (``initial_state``
+        defaults to the first registered state)."""
         transitions = [
             Transition(src, dst, r) for (src, dst), r in self._rates.items()
         ]

@@ -20,17 +20,14 @@ IEEE-754 double operations (and operation *order*) their construction
 spells out, scalar and vectorized evaluation use the same elementwise
 operations, and assembly assigns each edge's rate once into a zero
 matrix before deriving the diagonal as ``-row_sum`` — float for float
-what :class:`~repro.core.builder.ChainBuilder` + :class:`CTMC` produce.
+what the imperative ``legacy_build_*`` oracles + :class:`CTMC` produce.
 Because the edge set is fixed at compile time, a rate that evaluates to
 zero simply writes an explicit ``0.0`` (the matrix is unchanged); the
-topology can never silently drift with the operating point, which is the
-footgun :class:`~repro.core.template.ChainStructureMemo` had to guard
-against with per-hit structure checks.
+topology can never drift with the operating point.
 
-Unlike the builder, a spec is also *hashable*: :attr:`ModelSpec.spec_hash`
-digests the canonical structure (states, edges, expression trees), so
-caches can key compiled chains by content instead of by caller-invented
-memo keys.
+A spec is also *hashable*: :attr:`ModelSpec.spec_hash` digests the
+canonical structure (states, edges, expression trees), so caches key
+compiled chains by content.
 """
 
 from __future__ import annotations
@@ -350,14 +347,13 @@ class ModelSpec:
 
 
 class SpecBuilder:
-    """Incremental :class:`ModelSpec` construction, mirroring
-    :class:`~repro.core.builder.ChainBuilder`.
+    """Incremental :class:`ModelSpec` construction.
 
     States register in insertion order (``add_rate`` registers its
-    endpoints, exactly like the chain builder, so a spec transcribed
-    line-for-line from a legacy builder function reproduces its state
-    order); rates added between the same pair of states accumulate into
-    a left-nested sum, matching the builder's ``get() + rate`` order.
+    endpoints, so a spec transcribed line-for-line from a legacy oracle
+    reproduces its state order); rates added between the same pair of
+    states accumulate into a left-nested sum, matching the oracles'
+    ``get() + rate`` order.
     """
 
     def __init__(self) -> None:
@@ -419,19 +415,15 @@ class CompiledChain:
     """A spec lowered once: fixed topology + vectorized rate kernel.
 
     The structure (state order, edge index arrays, initial state) is
-    frozen at compile time, so — unlike a
-    :class:`~repro.core.template.ChainTemplate` under a coarse memo key —
-    there is nothing to re-verify per bind and nothing a vanishing rate
-    can silently change: :attr:`structure_rebuilds` is 0 by construction
-    and :attr:`hits` counts every rate-only re-bind the compile paid for.
+    frozen at compile time, so there is nothing to re-verify per bind and
+    nothing a vanishing rate can change; :attr:`hits` counts every
+    rate-only re-bind the compile paid for.
 
     Attributes:
         spec: the source :class:`ModelSpec`.
         spec_hash: the spec's content hash (cache / provenance key).
         hits: number of ``bind``/``bind_batch`` point-bindings served by
             this compiled structure.
-        structure_rebuilds: always 0 — kept as the explicit counterpart
-            of :attr:`ChainStructureMemo.structure_rebuilds`.
     """
 
     __slots__ = (
@@ -441,7 +433,6 @@ class CompiledChain:
         "edge_keys",
         "initial_state",
         "hits",
-        "structure_rebuilds",
         "_exprs",
         "_index",
         "_src_idx",
@@ -473,7 +464,6 @@ class CompiledChain:
             [self._index[dst] for _, dst in self.edge_keys], dtype=np.intp
         )
         self.hits = 0
-        self.structure_rebuilds = 0
 
     @property
     def num_states(self) -> int:
@@ -536,10 +526,9 @@ class CompiledChain:
     def bind(self, env: Env) -> CTMC:
         """One chain at a scalar operating point.
 
-        Bitwise identical to building the same chain through
-        :class:`~repro.core.builder.ChainBuilder`: each edge's rate is
-        assigned once into a zero matrix and the diagonal derived by the
-        same negated row sum.
+        Bitwise identical to building the same chain through the
+        imperative oracles: each edge's rate is assigned once into a zero
+        matrix and the diagonal derived by the same negated row sum.
         """
         self._check_env(env)
         q = np.zeros((self._n, self._n), dtype=float)
@@ -620,11 +609,11 @@ class CompiledChain:
 class CompiledSpecCache:
     """Content-addressed cache of compiled chains, keyed by spec hash.
 
-    This replaces caller-invented memo keys: the key *is* the structure,
-    so a hit can be trusted after one cheap hash comparison — and that
-    comparison is still made on every lookup, so a poisoned or stale
-    entry (a compiled chain stored under a hash it does not match) is
-    detected and recompiled rather than binding the wrong topology.
+    The key *is* the structure, so a hit can be trusted after one cheap
+    hash comparison — and that comparison is still made on every lookup,
+    so a poisoned or stale entry (a compiled chain stored under a hash it
+    does not match) is detected and recompiled rather than binding the
+    wrong topology.
 
     Attributes:
         hits / misses: lookup counters.

@@ -1,13 +1,12 @@
 """repro.engine — the parallel, memoized sweep engine.
 
 The engine evaluates grids of (configuration, parameters) points with
-process-pool fan-out, chain-topology memoization, batched GTH solves and
+process-pool fan-out, compiled-spec caching, batched GTH solves and
 an optional on-disk result cache, while producing floats bitwise
 identical to the plain point-by-point evaluation.  It also hosts the
 unified :func:`repro.evaluate` facade.
 """
 
-from . import faultpoints
 from .cache import DEFAULT_CACHE_DIR, DiskCache
 from .facade import evaluate
 from .keys import CACHE_SCHEMA_VERSION, point_key, stable_digest
@@ -38,7 +37,6 @@ __all__ = [
     "default_jobs",
     "evaluate",
     "evaluate_chunk",
-    "faultpoints",
     "mttdl_batched",
     "normalize_method",
     "point_key",

@@ -7,15 +7,11 @@ chain solve (dense or sparse backend), the paper's closed forms, or the
 Monte-Carlo simulator.  It is re-exported as :func:`repro.evaluate`.
 
 Solve-shaping knobs travel in a single frozen
-:class:`~repro.core.solvers.SolveOptions` value.  The pre-API ``method=``
-kwarg (and its ``"exact"``/``"approx"`` alias spellings) keeps working
-as a deprecation shim for one release — it maps onto the equivalent
-options and warns.
+:class:`~repro.core.solvers.SolveOptions` value.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 from .. import obs
@@ -31,50 +27,8 @@ from ..models.metrics import ReliabilityResult
 from ..models.parameters import Parameters
 from ..models.raid import InternalRaid
 from ..models.rebuild import RebuildModel
-from .solver import normalize_method
 
 __all__ = ["evaluate"]
-
-#: Canonical method name -> the SolveOptions backend it shims onto.
-_METHOD_BACKEND = {
-    "analytic": "auto",
-    "closed_form": "closed_form",
-    "monte_carlo": "monte_carlo",
-}
-
-
-def _merge_method_shim(
-    method: str, options: Optional[SolveOptions]
-) -> SolveOptions:
-    """Fold the deprecated ``method=`` kwarg into the options."""
-    canonical = normalize_method(method)
-    warnings.warn(
-        "evaluate(method=...) is deprecated; pass "
-        "options=SolveOptions(backend=...) instead "
-        "('analytic' -> 'auto'/'dense_gth', 'closed_form' -> "
-        "'closed_form', 'monte_carlo' -> 'monte_carlo')",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    shimmed = _METHOD_BACKEND[canonical]
-    if options is None:
-        if shimmed == "auto":
-            return DEFAULT_SOLVE_OPTIONS
-        return DEFAULT_SOLVE_OPTIONS.replace(backend=shimmed)
-    compatible = {
-        "auto": ("auto", "dense_gth", "sparse_iterative"),
-        "closed_form": ("auto", "closed_form"),
-        "monte_carlo": ("auto", "monte_carlo"),
-    }[shimmed]
-    if options.backend not in compatible:
-        raise ValueError(
-            f"method={method!r} conflicts with "
-            f"options.backend={options.backend!r}; drop the deprecated "
-            "method= kwarg and express the choice in options alone"
-        )
-    if options.backend == "auto" and shimmed != "auto":
-        return options.replace(backend=shimmed)
-    return options
 
 
 def evaluate(
@@ -82,7 +36,6 @@ def evaluate(
     params: Optional[Parameters] = None,
     *,
     options: Optional[SolveOptions] = None,
-    method: Optional[str] = None,
     rebuild: Optional[RebuildModel] = None,
     replicas: int = 200,
     seed: int = 0,
@@ -101,11 +54,6 @@ def evaluate(
             internal array-rates derivation and the iterative
             tolerances.  Defaults solve the chain with auto backend
             selection.
-        method: deprecated — the pre-options spelling (``"analytic"``,
-            ``"closed_form"``, ``"monte_carlo"``; pre-1.x
-            ``"exact"``/``"approx"`` aliases accepted).  Maps onto the
-            equivalent ``options`` and emits a ``DeprecationWarning``;
-            removed one release after the options API landed.
         rebuild: optional rebuild-time model override (chain and
             closed-form solves only).
         replicas: Monte-Carlo replica count (``monte_carlo`` only).
@@ -123,9 +71,7 @@ def evaluate(
         baseline a loss event is so rare that every replica grinds to the
         event-count safety cap instead of finishing.
     """
-    if method is not None:
-        options = _merge_method_shim(method, options)
-    elif options is None:
+    if options is None:
         options = DEFAULT_SOLVE_OPTIONS
     if params is None:
         params = Parameters.baseline()

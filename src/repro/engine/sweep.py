@@ -99,9 +99,10 @@ class SweepEngine:
     Args:
         base_params: default baseline for :meth:`sweep` / :meth:`grid`
             (the paper's Section 6 baseline when omitted).
-        jobs: process-pool width; ``None`` means ``os.cpu_count()``.  The
-            pool engages only when a batch is large enough to amortize
-            process startup — results are identical either way.
+        jobs: process-pool width; ``None`` means the usable CPU count
+            (:func:`~repro.runtime.default_jobs`).  The pool engages only
+            when a batch is large enough to amortize process startup —
+            results are identical either way.
         cache: on-disk result cache: ``False`` (off), ``True`` (default
             directory ``.repro_cache/``), a directory path, or a
             :class:`DiskCache` instance.
@@ -243,8 +244,9 @@ class SweepEngine:
         if method == "monte_carlo":
             raise ValueError(
                 "SweepEngine evaluates analytic/closed-form points; use "
-                "repro.evaluate(..., method='monte_carlo') or "
-                "repro.sim.estimate_mttdl for simulation"
+                "repro.evaluate(..., options=SolveOptions("
+                "backend='monte_carlo')) or repro.sim.estimate_mttdl "
+                "for simulation"
             )
         pairs = list(pairs)
         with obs.span(

@@ -16,17 +16,82 @@ sector-error term, active in either critical sub-state).
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import lru_cache
+from typing import Dict
 
-from ..core import CTMC, ChainBuilder
-from .critical_sets import critical_fraction
+from ..core import CTMC
+from ..core.spec import ModelSpec, SpecBuilder, param
 from .internal_raid import InternalRaidNodeModel
 from .parameters import Parameters
 from .raid import InternalRaid
+from .specs import compiled
 
-__all__ = ["build_detection_chain", "DetectionLatencyModel"]
+__all__ = [
+    "build_detection_chain",
+    "detection_env",
+    "detection_spec",
+    "DetectionLatencyModel",
+]
 
 LOSS = "loss"
+
+
+@lru_cache(maxsize=None)
+def detection_spec(fault_tolerance: int) -> ModelSpec:
+    """The Figure 5/6/7 chain with a detection stage, as a spec;
+    parameters ``n, lambda_N, lambda_D, lambda_S, mu_N, k_t, delta``."""
+    if fault_tolerance < 1:
+        raise ValueError("fault_tolerance must be >= 1")
+    t = fault_tolerance
+    n = param("n")
+    lam = param("lambda_N") + param("lambda_D")
+    b = SpecBuilder().add_state((0, "r"))  # zero-down; tag irrelevant
+
+    # Failure arrivals from every state; detection converts u -> r; repair
+    # only from r states.
+    for j in range(t + 1):
+        if j < t:
+            sources = [(j, "r")] if j == 0 else [(j, "u"), (j, "r")]
+            for source in sources:
+                b.add_rate(source, (j + 1, "u"), (n - j) * lam)
+        else:
+            # Critical level: one more failure (or critical sector error)
+            # loses data, from either sub-state.
+            final = lam + param("k_t") * param("lambda_S")
+            for tag in ("u", "r"):
+                b.add_rate((j, tag), LOSS, (n - j) * final)
+        if j >= 1:
+            b.add_rate((j, "u"), (j, "r"), param("delta"))
+            b.add_rate((j, "r"), (j - 1, "r"), param("mu_N"))
+    return b.build(f"detection_t{t}", initial_state=(0, "r"))
+
+
+def detection_env(
+    fault_tolerance: int,
+    n: int,
+    node_failure_rate: float,
+    array_failure_rate: float,
+    restripe_sector_loss_rate: float,
+    node_rebuild_rate: float,
+    critical_sector_fraction: float,
+    detection_rate: float,
+) -> Dict[str, float]:
+    """Binding environment for :func:`detection_spec`."""
+    if fault_tolerance < 1:
+        raise ValueError("fault_tolerance must be >= 1")
+    if n <= fault_tolerance:
+        raise ValueError("node set must be larger than the fault tolerance")
+    if detection_rate <= 0:
+        raise ValueError("detection rate must be positive")
+    return {
+        "n": n,
+        "lambda_N": node_failure_rate,
+        "lambda_D": array_failure_rate,
+        "lambda_S": restripe_sector_loss_rate,
+        "mu_N": node_rebuild_rate,
+        "k_t": critical_sector_fraction,
+        "delta": detection_rate,
+    }
 
 
 def build_detection_chain(
@@ -48,35 +113,17 @@ def build_detection_chain(
     Other arguments as in
     :func:`repro.models.internal_raid.build_internal_raid_chain`.
     """
-    if fault_tolerance < 1:
-        raise ValueError("fault_tolerance must be >= 1")
-    if n <= fault_tolerance:
-        raise ValueError("node set must be larger than the fault tolerance")
-    if detection_rate <= 0:
-        raise ValueError("detection rate must be positive")
-    lam = node_failure_rate + array_failure_rate
-    t = fault_tolerance
-    builder = ChainBuilder().add_state((0, "r"))  # zero-down; tag irrelevant
-
-    # Failure arrivals from every state; detection converts u -> r; repair
-    # only from r states.
-    for j in range(t + 1):
-        arrivals = (n - j) * lam
-        if j < t:
-            sources = [(j, "r")] if j == 0 else [(j, "u"), (j, "r")]
-            for source in sources:
-                builder.add_rate(source, (j + 1, "u"), arrivals)
-        else:
-            # Critical level: one more failure (or critical sector error)
-            # loses data, from either sub-state.
-            final = lam + critical_sector_fraction * restripe_sector_loss_rate
-            for tag in ("u", "r"):
-                builder.add_rate((j, tag), LOSS, (n - j) * final)
-        if j >= 1:
-            builder.add_rate((j, "u"), (j, "r"), detection_rate)
-            target = (0, "r") if j == 1 else (j - 1, "r")
-            builder.add_rate((j, "r"), target, node_rebuild_rate)
-    return builder.build(initial_state=(0, "r"))
+    env = detection_env(
+        fault_tolerance,
+        n,
+        node_failure_rate,
+        array_failure_rate,
+        restripe_sector_loss_rate,
+        node_rebuild_rate,
+        critical_sector_fraction,
+        detection_rate,
+    )
+    return compiled(detection_spec(fault_tolerance)).bind(env)
 
 
 class DetectionLatencyModel:

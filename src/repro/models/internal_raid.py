@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Union
 
-from ..core import CTMC, ChainBuilder
+from ..core import CTMC
+from ..core.builder import ChainBuilder
 from ..core.spec import ModelSpec
 from .critical_sets import critical_fraction
 from .parameters import Parameters

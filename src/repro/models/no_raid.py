@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..core import CTMC, ChainBuilder
+from ..core import CTMC
+from ..core.builder import ChainBuilder
 from ..core.spec import ModelSpec
 from .critical_sets import h_parameters
 from .parameters import Parameters

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from ..core import CTMC, ChainBuilder
+from ..core import CTMC
+from ..core.builder import ChainBuilder
 from .parameters import Parameters
 from .rebuild import RebuildModel
 from .specs import compiled, raid5_spec, raid6_spec, raid_env

@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from ..core import CTMC, ChainBuilder
+from ..core import CTMC
+from ..core.builder import ChainBuilder
 from ..core.spec import ModelSpec
 from .critical_sets import h_parameters
 from .parameters import Parameters

@@ -1,7 +1,7 @@
 """Chunked fan-out over a :class:`~repro.runtime.topology.ProcessTopology`.
 
 Work is split into one contiguous chunk per worker so each process gets
-the largest possible batch for its structure memo and batched solves.
+the largest possible batch for its compiled specs and batched solves.
 Because every execution path is bitwise-deterministic (see
 :mod:`repro.engine.solver`), chunk boundaries and worker scheduling cannot
 affect results — only wall-clock time.
@@ -34,8 +34,18 @@ MIN_TASKS_FOR_POOL = 8
 
 
 def default_jobs() -> int:
-    """The default worker count: ``os.cpu_count()`` (at least 1)."""
-    return max(1, os.cpu_count() or 1)
+    """The default worker count: the CPUs this process may run on (at
+    least 1).
+
+    ``os.sched_getaffinity`` honours ``taskset`` and cgroup cpusets;
+    ``os.cpu_count()`` counts every CPU of the host and is only the
+    fallback where affinity is not exposed (macOS, Windows).
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, cpus)
 
 
 def should_pool(jobs: int, total_tasks: int) -> bool:
@@ -43,7 +53,7 @@ def should_pool(jobs: int, total_tasks: int) -> bool:
 
     Pooling loses when there is nothing to overlap with: a single
     requested job, too few tasks to amortize process startup, or a
-    single-CPU host (forked workers would just time-slice one core while
+    single usable CPU (forked workers would just time-slice one core while
     paying fork/pickle overhead and losing the caller's warm memos).
     Because every execution path is bitwise-deterministic, this choice
     affects wall-clock time only, never results.

@@ -8,7 +8,7 @@ promise:
 * every cache entry is corrupted (garbage bytes), truncated, or replaced
   with a schema-mismatched payload between a warm-up sweep and a re-read;
 * pool workers are killed (``os._exit``) the moment they pick up a chunk,
-  via the :data:`~repro.engine.faultpoints.POOL_WORKER_START` fault point;
+  via the :data:`~repro.runtime.faultpoints.POOL_WORKER_START` fault point;
 * the solver's compiled-spec cache is poisoned: every entry is replaced
   with a compiled chain whose structure does not match the hash it is
   stored under, which the cache must detect (its per-lookup hash check)
@@ -31,12 +31,11 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.spec import CompiledChain, ModelSpec, param
-from ..core.template import ChainTemplate
-from ..engine import faultpoints
 from ..engine.cache import DiskCache
 from ..engine.sweep import SweepEngine, point_payload_valid
 from ..models.configurations import Configuration
 from ..models.parameters import Parameters
+from ..runtime import faultpoints
 from .registry import VerifyContext, Violation, invariant
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "corrupt_cache_dir",
     "fault_drill",
     "kill_worker_action",
-    "poison_chain_memo",
     "poison_spec_cache",
 ]
 
@@ -80,7 +78,7 @@ def corrupt_cache_dir(directory, mode: str = "garbage") -> int:
 
 
 def kill_worker_action(exit_code: int = 17) -> Callable[[], None]:
-    """An action for :data:`~repro.engine.faultpoints.POOL_WORKER_START`
+    """An action for :data:`~repro.runtime.faultpoints.POOL_WORKER_START`
     that kills the worker process outright.
 
     ``os._exit`` skips every cleanup handler — exactly how the OOM killer
@@ -92,26 +90,6 @@ def kill_worker_action(exit_code: int = 17) -> Callable[[], None]:
         os._exit(exit_code)
 
     return kill
-
-
-def poison_chain_memo(memo) -> int:
-    """Replace every cached template in a ``ChainStructureMemo`` with a
-    stale variant whose edge set no longer matches the real topology.
-
-    A correct memo must detect the mismatch on the next lookup and
-    rebuild; a memo that blindly trusts its key would bind the wrong
-    rates.  Returns the number of templates poisoned.
-    """
-    poisoned = 0
-    for key, template in list(memo._templates.items()):
-        stale_edges = template.edge_keys[:-1] if template.edge_keys else ()
-        memo._templates[key] = ChainTemplate(
-            states=template.states,
-            edge_keys=stale_edges,
-            initial_state=template.initial_state,
-        )
-        poisoned += 1
-    return poisoned
 
 
 def poison_spec_cache(cache) -> int:

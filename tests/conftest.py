@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+import os
+
 import pytest
 
 from repro.models import Parameters
@@ -9,6 +11,20 @@ from repro.models import Parameters
 def baseline() -> Parameters:
     """The paper's Section 6 baseline."""
     return Parameters.baseline()
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Pin how many CPUs this process may run on, as the runtime's
+    ``default_jobs()`` sees them: ``usable_cpus(4)`` forces the pool gate
+    open on any host, ``usable_cpus(1)`` forces it shut."""
+
+    def pin(count: int) -> None:
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
+        )
+
+    return pin
 
 
 @pytest.fixture

@@ -1,8 +1,9 @@
-"""Tests for the chain builder DSL."""
+"""Tests for the imperative chain builder behind the legacy oracles."""
 
 import pytest
 
-from repro.core import CTMCError, ChainBuilder
+from repro.core import CTMCError
+from repro.core.builder import ChainBuilder
 
 
 class TestBasics:
@@ -51,38 +52,3 @@ class TestBasics:
         b = ChainBuilder().add_rate("s0", "s1", 1.0)
         assert b.build().initial_state == "s0"
 
-
-class TestStructuralOps:
-    def test_relabel_renames(self):
-        b = ChainBuilder().add_rate("a", "b", 2.0)
-        renamed = b.relabel(lambda s: s.upper())
-        assert renamed.states == ("A", "B")
-        assert renamed.rate("A", "B") == pytest.approx(2.0)
-
-    def test_relabel_merges_states(self):
-        # Two absorbing states merged into one, as in the appendix
-        # construction.
-        b = ChainBuilder()
-        b.add_rate("a", "loss1", 1.0)
-        b.add_rate("a", "loss2", 2.0)
-        merged = b.relabel(lambda s: "loss" if s.startswith("loss") else s)
-        assert merged.rate("a", "loss") == pytest.approx(3.0)
-        assert set(merged.states) == {"a", "loss"}
-
-    def test_relabel_rejects_created_self_loop(self):
-        b = ChainBuilder().add_rate("a", "b", 1.0)
-        with pytest.raises(CTMCError, match="self-loop"):
-            b.relabel(lambda s: "same")
-
-    def test_merge_from_combines(self):
-        left = ChainBuilder().add_rate("a", "b", 1.0)
-        right = ChainBuilder().add_rate("b", "c", 2.0).add_rate("a", "b", 0.5)
-        left.merge_from(right)
-        assert left.rate("a", "b") == pytest.approx(1.5)
-        assert left.rate("b", "c") == pytest.approx(2.0)
-        assert left.states == ("a", "b", "c")
-
-    def test_relabel_leaves_original_untouched(self):
-        b = ChainBuilder().add_rate("a", "b", 1.0)
-        b.relabel(lambda s: s + "!")
-        assert b.states == ("a", "b")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import CTMC, CTMCError, ChainBuilder, NotAbsorbingError, Transition
+from repro.core import CTMC, CTMCError, NotAbsorbingError, Transition
 
 
 def two_state_chain(lam=2.0, mu=50.0, kill=1.0) -> CTMC:

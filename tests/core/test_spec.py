@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import ChainBuilder
+from repro.core.builder import ChainBuilder
 from repro.core.spec import (
     CompiledSpecCache,
     ModelSpec,
@@ -227,7 +227,7 @@ class TestCompiledChain:
 
     def test_counters(self):
         compiled = _toy_spec().compile()
-        assert (compiled.hits, compiled.structure_rebuilds) == (0, 0)
+        assert compiled.hits == 0
         compiled.bind(_toy_env())
         stacked = {
             name: np.array([v, v])
@@ -235,7 +235,6 @@ class TestCompiledChain:
         }
         compiled.bind_batch(stacked)
         assert compiled.hits == 3  # one scalar bind + two batched points
-        assert compiled.structure_rebuilds == 0
 
 
 class TestCompiledSpecCache:

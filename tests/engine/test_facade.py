@@ -76,59 +76,6 @@ class TestMonteCarlo:
             )
 
 
-class TestMethodShim:
-    """The deprecated method= keyword still works, with a warning."""
-
-    def test_analytic_method_warns_and_matches(self, baseline):
-        config = ALL_CONFIGURATIONS[0]
-        with pytest.warns(DeprecationWarning, match="options"):
-            old_style = evaluate(config, baseline, method="analytic")
-        assert old_style.mttdl_hours == evaluate(config, baseline).mttdl_hours
-
-    def test_exact_alias(self, baseline):
-        config = ALL_CONFIGURATIONS[4]
-        with pytest.warns(DeprecationWarning):
-            shimmed = evaluate(config, baseline, method="exact")
-        assert shimmed.mttdl_hours == evaluate(config, baseline).mttdl_hours
-
-    def test_approx_alias_maps_to_closed_form(self, baseline):
-        config = ALL_CONFIGURATIONS[1]
-        with pytest.warns(DeprecationWarning):
-            shimmed = evaluate(config, baseline, method="approx")
-        assert (
-            shimmed.mttdl_hours
-            == evaluate(
-                config, baseline, options=SolveOptions(backend="closed_form")
-            ).mttdl_hours
-        )
-
-    def test_method_with_compatible_options(self, baseline):
-        config = ALL_CONFIGURATIONS[0]
-        with pytest.warns(DeprecationWarning):
-            result = evaluate(
-                config,
-                baseline,
-                method="analytic",
-                options=SolveOptions(backend="sparse_iterative"),
-            )
-        assert result.mttdl_hours > 0
-
-    def test_method_conflicting_with_options_rejected(self, baseline):
-        config = ALL_CONFIGURATIONS[0]
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="conflicts"):
-                evaluate(
-                    config,
-                    baseline,
-                    method="closed_form",
-                    options=SolveOptions(backend="sparse_iterative"),
-                )
-
-    def test_unknown_method_rejected(self, baseline):
-        with pytest.raises(ValueError, match="unknown method"):
-            evaluate(ALL_CONFIGURATIONS[0], baseline, method="magic")
-
-
 class TestApiSurface:
     def test_exported_from_package_root(self):
         assert repro.evaluate is evaluate

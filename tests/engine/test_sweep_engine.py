@@ -1,7 +1,5 @@
 """SweepEngine: pool-vs-serial equality, disk caching, sweeps and grids."""
 
-import os
-
 import pytest
 
 from repro import ALL_CONFIGURATIONS, Parameters, SweepEngine
@@ -43,13 +41,13 @@ class TestPoolVsSerial:
         expected = [c.reliability(p, "approx") for c, p in pairs]
         assert [r.mttdl_hours for r in got] == [r.mttdl_hours for r in expected]
 
-    def test_forced_pool_bitwise_identical(self, baseline, monkeypatch):
+    def test_forced_pool_bitwise_identical(self, baseline, usable_cpus):
         """Engage the real process pool even on a single-CPU host (where
         the gate would otherwise decline it) and check both the floats and
         the worker counters coming back."""
         pairs = _grid_pairs(baseline)
         serial = SweepEngine(jobs=1).evaluate_many(pairs)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        usable_cpus(4)
         pooled_engine = SweepEngine(jobs=4)
         pooled = pooled_engine.evaluate_many(pairs)
         assert [r.mttdl_hours for r in pooled] == [r.mttdl_hours for r in serial]

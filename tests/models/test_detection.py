@@ -1,5 +1,8 @@
 """Tests for the failure-detection-latency extension."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.models import (
@@ -9,6 +12,73 @@ from repro.models import (
     Parameters,
     build_detection_chain,
 )
+from repro.models.detection import detection_spec
+
+#: Chains frozen from the imperative ChainBuilder construction that the
+#: spec replaced: state order, every generator entry and the MTTDL, as
+#: ``float.hex`` strings.  The file is data, not a regeneration target —
+#: rebuilding it from the spec path would make the comparison circular.
+FROZEN = json.loads(
+    (Path(__file__).parents[1] / "data" / "detection_chains.json").read_text()
+)["cases"]
+
+RATE_ARGS = (
+    "node_failure_rate",
+    "array_failure_rate",
+    "restripe_sector_loss_rate",
+    "node_rebuild_rate",
+    "critical_sector_fraction",
+    "detection_rate",
+)
+
+
+def _state(label):
+    return tuple(label) if isinstance(label, list) else label
+
+
+def _frozen_view(chain):
+    """A chain in the fixture's exact encoding."""
+    return (
+        list(chain.states),
+        chain.initial_state,
+        [[x.hex() for x in row] for row in chain.generator_matrix()],
+        chain.mean_time_to_absorption().hex(),
+    )
+
+
+def _expected(case):
+    return (
+        [_state(s) for s in case["states"]],
+        _state(case["initial_state"]),
+        case["generator"],
+        case["mttdl_hours"],
+    )
+
+
+class TestFrozenChains:
+    @pytest.mark.parametrize("case", FROZEN, ids=lambda c: c["name"])
+    def test_spec_path_is_bitwise_frozen(self, case):
+        args = case["args"]
+        chain = build_detection_chain(
+            args["fault_tolerance"],
+            args["n"],
+            *(float.fromhex(args[name]) for name in RATE_ARGS),
+        )
+        assert _frozen_view(chain) == _expected(case)
+
+    @pytest.mark.parametrize(
+        "case",
+        [c for c in FROZEN if c["source"] != "raw"],
+        ids=lambda c: c["name"],
+    )
+    def test_model_path_is_bitwise_frozen(self, case, baseline):
+        model = DetectionLatencyModel(
+            baseline,
+            InternalRaid[case["source"]["raid"]],
+            case["args"]["fault_tolerance"],
+            detection_hours=float.fromhex(case["source"]["detection_hours"]),
+        )
+        assert _frozen_view(model.chain()) == _expected(case)
 
 
 class TestChain:
@@ -29,9 +99,15 @@ class TestChain:
         assert chain.rate((1, "r"), (0, "r")) == pytest.approx(0.3)
         assert chain.rate((2, "r"), (1, "r")) == pytest.approx(0.3)
 
+    def test_spec_is_shared_per_fault_tolerance(self):
+        assert detection_spec(2) is detection_spec(2)
+        assert detection_spec(2).spec_hash != detection_spec(3).spec_hash
+
     def test_validation(self):
         with pytest.raises(ValueError):
             build_detection_chain(0, 64, 1e-6, 0.0, 0.0, 0.3, 1.0, 10.0)
+        with pytest.raises(ValueError):
+            detection_spec(0)
         with pytest.raises(ValueError):
             build_detection_chain(2, 2, 1e-6, 0.0, 0.0, 0.3, 1.0, 10.0)
         with pytest.raises(ValueError):

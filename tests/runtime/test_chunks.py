@@ -46,16 +46,35 @@ class TestShouldPool:
     def test_tiny_batch_never_pools(self):
         assert not should_pool(8, MIN_TASKS_FOR_POOL - 1)
 
-    def test_single_cpu_never_pools(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    def test_single_cpu_never_pools(self, usable_cpus):
+        usable_cpus(1)
         assert not should_pool(8, 1000)
 
-    def test_pools_with_work_and_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    def test_pools_with_work_and_cpus(self, usable_cpus):
+        usable_cpus(4)
         assert should_pool(2, MIN_TASKS_FOR_POOL)
 
     def test_default_jobs_is_at_least_one(self):
         assert default_jobs() >= 1
+
+
+class TestDefaultJobs:
+    def test_follows_cpu_affinity_not_host_size(self, monkeypatch, usable_cpus):
+        """A process pinned to one CPU (``taskset -c 0``) of a larger host
+        must not fork workers onto that one CPU."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        usable_cpus(1)
+        assert default_jobs() == 1
+        assert not should_pool(2, 100)
+        usable_cpus(3)
+        assert default_jobs() == 3
+
+    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert default_jobs() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert default_jobs() == 1
 
 
 class TestRunChunks:
@@ -64,19 +83,19 @@ class TestRunChunks:
         outputs = run_chunks(_double_chunk, chunks, jobs=1)
         assert [x for out in outputs for x in out] == [2 * x for x in range(10)]
 
-    def test_pooled_run_matches_serial(self, monkeypatch):
+    def test_pooled_run_matches_serial(self, usable_cpus):
         """Force the real process pool (the gate would decline it on a
         single-CPU host) and check it returns the serial answer in order."""
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        usable_cpus(4)
         chunks = split_chunks(list(range(16)), 4)
         serial = run_chunks(_double_chunk, chunks, jobs=1)
         pooled = run_chunks(_double_chunk, chunks, jobs=4)
         assert pooled == serial
 
-    def test_crashed_chunks_recomputed_in_process(self, monkeypatch):
+    def test_crashed_chunks_recomputed_in_process(self, usable_cpus):
         """Workers killed on startup (fork-inherited faultpoint) must not
         change results: every crashed chunk is recomputed in-process."""
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        usable_cpus(4)
         from repro.runtime import faultpoints
 
         chunks = split_chunks(list(range(16)), 4)

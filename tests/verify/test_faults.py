@@ -6,14 +6,14 @@ yield results **bitwise identical** to a cold serial run.
 
 import pytest
 
-from repro.engine import DiskCache, SweepEngine, faultpoints, point_payload_valid
+from repro.engine import DiskCache, SweepEngine, point_payload_valid
 from repro.models import Parameters
 from repro.models.configurations import ALL_CONFIGURATIONS, all_configurations
+from repro.runtime import faultpoints
 from repro.verify import (
     corrupt_cache_dir,
     fault_drill,
     kill_worker_action,
-    poison_chain_memo,
     poison_spec_cache,
 )
 from repro.verify.faults import CACHE_CORRUPTION_MODES
@@ -111,25 +111,6 @@ class TestPoisonedSpecCache:
         assert _mttdls(engine, pairs) == reference
         # The mismatches were detected, not silently trusted.
         assert engine._ctx.specs.structure_rebuilds == poisoned
-
-    def test_poisoned_memo_templates_are_rebuilt(self):
-        """The template memo keeps the same guarantee (its per-hit
-        structure check), independent of the engine path."""
-        from repro.core import ChainBuilder, ChainStructureMemo
-
-        def builder():
-            b = ChainBuilder()
-            b.add_rate("up", "down", 2.0)
-            b.add_rate("down", "up", 50.0)
-            b.add_rate("down", "lost", 0.25)
-            return b
-
-        memo = ChainStructureMemo()
-        reference = memo.build("k", builder(), "up").mean_time_to_absorption()
-        assert poison_chain_memo(memo) == 1
-        with pytest.warns(RuntimeWarning, match="rebuilt its topology"):
-            again = memo.build("k", builder(), "up").mean_time_to_absorption()
-        assert again == reference
 
 
 class TestFaultDrill:
